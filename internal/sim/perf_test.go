@@ -26,7 +26,7 @@ func TestCancelledEventsAreCompacted(t *testing.T) {
 				t.Fatal("Stop on a pending timer returned false")
 			}
 		}
-		if n := l.queueSize(); n > maxHeap {
+		if n := len(l.heap); n > maxHeap {
 			maxHeap = n
 		}
 		if n := len(l.slots); n > maxSlots {
@@ -45,8 +45,8 @@ func TestCancelledEventsAreCompacted(t *testing.T) {
 		t.Errorf("Pending = %d after cancelling everything, want 0", l.Pending())
 	}
 	l.Run() // must not fire anything (t.Error above catches it)
-	if n := l.queueSize(); n != 0 {
-		t.Errorf("queue holds %d entries after Run, want 0", n)
+	if n := len(l.heap); n != 0 {
+		t.Errorf("heap holds %d entries after Run, want 0", n)
 	}
 }
 
@@ -176,6 +176,24 @@ func BenchmarkPeriodicTick(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		l.Step()
+	}
+}
+
+// BenchmarkDenseTimers measures the regime the video workload lives in:
+// thousands of outstanding timers with constant churn, where every
+// schedule and fire pays the heap's O(log n) sift.
+func BenchmarkDenseTimers(b *testing.B) {
+	l := NewLoop(1)
+	fn := func() {}
+	// Standing population: 8k timers spread over 100ms.
+	for i := 0; i < 8192; i++ {
+		l.After(time.Duration(i%100)*time.Millisecond+time.Duration(i)*time.Microsecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.After(50*time.Millisecond, fn)
 		l.Step()
 	}
 }

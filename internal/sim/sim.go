@@ -57,30 +57,11 @@ type eventSlot struct {
 // to discard at pop time than to filter out.
 const compactMin = 64
 
-// A Scheduler selects the Loop's event-queue implementation. Both
-// produce the exact same firing order — (at, seq) is a total order and
-// FuzzWheelVsHeap holds them to identical observable behaviour — so the
-// choice is purely a performance trade: the heap does O(log n) ordered
-// work per operation, the wheel does O(1) amortized bucketing and
-// re-sorts only one tick's worth of events at a time.
-type Scheduler uint8
-
-const (
-	// Heap is the inline 4-ary min-heap, the reference implementation.
-	Heap Scheduler = iota
-	// Wheel is the hierarchical timing wheel (see wheel.go).
-	Wheel
-)
-
 // A Loop is a virtual-time event scheduler. The zero value is not ready
 // for use; create one with NewLoop.
 type Loop struct {
-	now  time.Duration
-	heap []heapEntry
-	// wheel, when non-nil, replaces the heap as the event queue; every
-	// queue operation branches on this one nil check so the heap path
-	// stays exactly as fast as before the wheel existed.
-	wheel   *wheelQueue
+	now     time.Duration
+	heap    []heapEntry
 	slots   []eventSlot
 	free    []int32
 	seq     uint64
@@ -100,21 +81,10 @@ type Loop struct {
 }
 
 // NewLoop returns a Loop whose clock reads zero and whose random source
-// is seeded with seed, using the build's default scheduler. Two loops
-// created with the same seed and driven by the same schedule of
-// callbacks produce identical executions.
+// is seeded with seed. Two loops created with the same seed and driven
+// by the same schedule of callbacks produce identical executions.
 func NewLoop(seed int64) *Loop {
-	return NewLoopSched(seed, DefaultScheduler)
-}
-
-// NewLoopSched returns a Loop backed by an explicit scheduler choice.
-// Results are independent of the choice; only speed differs.
-func NewLoopSched(seed int64, s Scheduler) *Loop {
-	l := &Loop{seed: seed, rng: rand.New(rand.NewSource(seed))}
-	if s == Wheel {
-		l.wheel = &wheelQueue{}
-	}
-	return l
+	return &Loop{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Seed reports the seed the loop was created with. Components that
@@ -140,16 +110,6 @@ func (l *Loop) Pending() int { return l.pending }
 // timers and fast-forwarded (skipped) events do not count, so the value
 // measures real scheduler work.
 func (l *Loop) Events() uint64 { return l.events }
-
-// queueSize reports the event queue's physical occupancy, including
-// cancelled entries not yet removed. Tests use it to pin the compaction
-// bound.
-func (l *Loop) queueSize() int {
-	if l.wheel != nil {
-		return l.wheel.size()
-	}
-	return len(l.heap)
-}
 
 // A Timer is a handle to a scheduled callback: a slot index plus the
 // generation the slot had when the event was scheduled, so a handle
@@ -212,15 +172,9 @@ func (l *Loop) At(at time.Duration, fn func()) Timer {
 	sl := &l.slots[slot]
 	sl.fn = fn
 	sl.state = slotLive
-	seq := l.seq
+	l.push(heapEntry{at: at, seq: l.seq, slot: slot})
 	l.seq++
 	l.pending++
-	e := heapEntry{at: at, seq: seq, slot: slot}
-	if l.wheel != nil {
-		l.wheel.push(e)
-	} else {
-		l.push(e)
-	}
 	return Timer{loop: l, slot: slot + 1, gen: sl.gen}
 }
 
@@ -236,9 +190,6 @@ func (l *Loop) After(d time.Duration, fn func()) Timer {
 // Step runs the single earliest pending event and reports whether one
 // existed. Cancelled events are discarded without running.
 func (l *Loop) Step() bool {
-	if l.wheel != nil {
-		return l.stepWheel()
-	}
 	for len(l.heap) > 0 {
 		e := l.heap[0]
 		l.popRoot()
@@ -301,10 +252,6 @@ func (l *Loop) RunUntil(deadline time.Duration) {
 // of Run and RunUntil when checking is enabled — once per drive of the
 // loop, so the audit never changes the complexity of a simulation.
 func (l *Loop) checkIntegrity() {
-	if l.wheel != nil {
-		l.checkWheelIntegrity()
-		return
-	}
 	var live, cancelled int
 	for i, e := range l.heap {
 		if i > 0 {
@@ -357,9 +304,6 @@ func (l *Loop) Stop() { l.stopped = true }
 // peek reports the timestamp of the earliest live event, discarding
 // any cancelled entries it finds at the root on the way.
 func (l *Loop) peek() (time.Duration, bool) {
-	if l.wheel != nil {
-		return l.peekWheel()
-	}
 	for len(l.heap) > 0 {
 		e := l.heap[0]
 		if l.slots[e.slot].state == slotLive {
@@ -387,12 +331,6 @@ func (l *Loop) freeSlot(slot int32) {
 // cancels most of its timers (pacing, retransmission, delayed acks)
 // keeps the queue proportional to the live event count.
 func (l *Loop) maybeCompact() {
-	if l.wheel != nil {
-		if l.cancelled >= compactMin && l.cancelled > l.wheel.size()/2 {
-			l.wheelCompact()
-		}
-		return
-	}
 	if l.cancelled < compactMin || l.cancelled <= len(l.heap)/2 {
 		return
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -15,17 +16,34 @@ func TestLoopStartsAtZero(t *testing.T) {
 }
 
 func TestAfterRunsInOrder(t *testing.T) {
-	l := NewLoop(1)
-	var order []int
-	l.After(30*time.Millisecond, func() { order = append(order, 3) })
-	l.After(10*time.Millisecond, func() { order = append(order, 1) })
-	l.After(20*time.Millisecond, func() { order = append(order, 2) })
-	l.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("events ran in order %v, want [1 2 3]", order)
-	}
-	if got := l.Now(); got != 30*time.Millisecond {
-		t.Fatalf("Now() after Run = %v, want 30ms", got)
+	for _, tc := range []struct {
+		name   string
+		delays []time.Duration // scheduled in this order
+		want   []int           // indices into delays, in firing order
+	}{
+		{"milliseconds", []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond}, []int{1, 2, 0}},
+		// Days-away events interleaved with a near one.
+		{"far_future", []time.Duration{200 * time.Hour, 100 * time.Hour, time.Millisecond, 100*time.Hour + time.Microsecond}, []int{2, 1, 3, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLoop(1)
+			var order []int
+			for i, d := range tc.delays {
+				l.After(d, func() {
+					if l.Now() != tc.delays[i] {
+						t.Errorf("event %d ran at %v, want %v", i, l.Now(), tc.delays[i])
+					}
+					order = append(order, i)
+				})
+			}
+			l.Run()
+			if fmt.Sprint(order) != fmt.Sprint(tc.want) {
+				t.Fatalf("events ran in order %v, want %v", order, tc.want)
+			}
+			if last := tc.delays[tc.want[len(tc.want)-1]]; l.Now() != last {
+				t.Fatalf("Now() after Run = %v, want %v", l.Now(), last)
+			}
+		})
 	}
 }
 
